@@ -13,8 +13,7 @@ test:
 race:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/fleet/... ./internal/par/... ./internal/xlatpolicy/...
 
-# Regenerate BENCH_8.json: hot-path and fleet-epoch ns/op plus suite
-# wall-clock serial vs jobs=4, failing if the parallel output is not
-# byte-identical or the previous BENCH_7.json baseline is missing.
+# The simulator benchmark: every workload, with spreads and a digest check
+# of the simulated output (see simbench/README.md).
 bench:
-	./scripts/bench.sh BENCH_8.json
+	bash simbench/run.sh -workload all

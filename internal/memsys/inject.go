@@ -85,7 +85,7 @@ func (t Target) String() string {
 
 // InjectConfig mirrors faultinject.Config: the decision for event seq is
 // a pure function of (InjectConfig, seq), so a run with the same seed and
-// workload injects the same faults — chaos runs are replayable.
+// workload injects the same faults — chaos runs are repeatable.
 type InjectConfig struct {
 	// Seed perturbs the probabilistic coin flips.
 	Seed uint64

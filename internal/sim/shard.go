@@ -27,8 +27,7 @@
 //     stopped, all their memory effects are visible. Pending kernel
 //     requests are then serviced serially in core-ID order, so kernel
 //     mutations (and the shootdowns they broadcast into other cores'
-//     quiescent TLBs and translation-result caches) happen in one
-//     deterministic order.
+//     quiescent TLBs) happen in one deterministic order.
 //   - A deferred fault unwinds the whole translation attempt (partial
 //     cycles rolled back) and the step retries from scratch after the
 //     barrier, with the serviced kernel cycles charged exactly once via

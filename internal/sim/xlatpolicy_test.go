@@ -269,14 +269,15 @@ func TestCoalescedCoWBreakSplitsRun(t *testing.T) {
 
 // TestPolicyStormAuditsClean runs the full kernel-mutation storm (fork,
 // shootdown, teardown, recycle, OOM-reclaim — including the CoW breaks
-// container starts arm) under each policy arch: the invalidation mirror
-// must keep the policy stores coherent through every seam, with the
-// per-page cross-check audit as the oracle.
+// container starts arm) under every registered architecture: the
+// invalidation paths must keep the TLBs and policy stores coherent
+// through every seam, with clean kernel, physmem and per-page TLB audits
+// as the oracle.
 func TestPolicyStormAuditsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm is slow")
 	}
-	for _, arch := range policyArchs {
+	for _, arch := range xlatpolicy.Names() {
 		arch := arch
 		t.Run(arch, func(t *testing.T) {
 			p, err := sim.ParamsForArch(arch)
@@ -291,87 +292,28 @@ func TestPolicyStormAuditsClean(t *testing.T) {
 	}
 }
 
-// TestPolicyXCacheStormIdentity is the xcache gate for the new archs:
-// with every built-in policy replayable, enabling the translation-result
-// cache must not change a single byte of the storm's results.
-func TestPolicyXCacheStormIdentity(t *testing.T) {
+// TestPolicyStormIdentity: a policy store must not make the storm's
+// results depend on anything but the seeded inputs — two fresh machines
+// driven through the same storm must agree byte for byte.
+func TestPolicyStormIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm identity is slow")
 	}
 	for _, arch := range []string{"victima", "coalesced"} {
 		arch := arch
 		t.Run(arch, func(t *testing.T) {
-			off, err := sim.ParamsForArch(arch)
+			p, err := sim.ParamsForArch(arch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			off.Cores = 2
-			off.MemBytes = 96 << 20
-			off.Quantum = 50_000
-			on := off
-			off.XCache = false
-			on.XCache = true
-			want := runStorm(t, off)
-			if got := runStorm(t, on); got != want {
-				t.Errorf("%s: xcache on diverged from off:\n--- off ---\n%s--- on ---\n%s", arch, want, got)
+			p.Cores = 2
+			p.MemBytes = 96 << 20
+			p.Quantum = 50_000
+			want := runStorm(t, p)
+			if got := runStorm(t, p); got != want {
+				t.Errorf("%s: storm diverged between two runs:\n--- first ---\n%s--- second ---\n%s", arch, want, got)
 			}
 		})
-	}
-}
-
-// nonReplayablePolicy wraps a built-in policy but declares its lookups
-// non-replayable, standing in for a future policy that interposes on the
-// L1 probe path.
-type nonReplayablePolicy struct{ xlatpolicy.Policy }
-
-func (nonReplayablePolicy) Name() string           { return "test-nonreplayable" }
-func (nonReplayablePolicy) XCacheReplayable() bool { return false }
-
-func init() {
-	xlatpolicy.Register(xlatpolicy.Arch{
-		Name:   "test-nonreplayable",
-		Desc:   "test-only: baseline tagged non-replayable",
-		Policy: nonReplayablePolicy{xlatpolicy.MustGet("baseline").Policy},
-	})
-}
-
-// TestNonReplayablePolicyGatesXCache: a policy that cannot replay
-// byte-identically must be rejected by Params.Validate (the CLIs' clear
-// error) and self-disabled by sim.New (the machine never silently
-// diverges).
-func TestNonReplayablePolicyGatesXCache(t *testing.T) {
-	p, err := sim.ParamsForArch("test-nonreplayable")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.XCache = true
-	if err := p.Validate(); err == nil {
-		t.Fatal("Validate accepted the xcache over a non-replayable policy")
-	}
-	p.Cores = 1
-	m := sim.New(p)
-	if m.Cores[0].MMU.XCache() != nil {
-		t.Fatal("sim.New enabled the xcache over a non-replayable policy")
-	}
-
-	// With the cache off the config is legal.
-	p.XCache = false
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate rejected xcache-off params: %v", err)
-	}
-
-	// Replayable policies keep the cache.
-	rp, err := sim.ParamsForArch("victima")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.Cores = 1
-	rp.XCache = true
-	if err := rp.Validate(); err != nil {
-		t.Fatalf("Validate rejected a replayable policy: %v", err)
-	}
-	if sim.New(rp).Cores[0].MMU.XCache() == nil {
-		t.Fatal("xcache disabled for a replayable policy")
 	}
 }
 
