@@ -8,10 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The parallel engine's safety proof: machines share no mutable state —
-# neither across experiment cells nor across fleet nodes.
+# The race detector over every package with concurrent code: the
+# memory-pressure and device layers, the parallel engines (machines share
+# no mutable state across experiment cells, fleet nodes or core shards),
+# the fleet and the translation policies. CI runs exactly this target.
 race:
-	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/fleet/... ./internal/par/... ./internal/xlatpolicy/...
+	$(GO) test -race ./internal/physmem/... ./internal/kernel/... ./internal/sim/... ./internal/telemetry/... ./internal/experiments/... ./internal/memsys/... ./internal/par/... ./internal/fleet/... ./internal/xlatpolicy/... ./internal/loadgen/...
 
 # The simulator benchmark: every workload, with spreads and a digest check
 # of the simulated output (see simbench/README.md).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"babelfish/internal/kernel"
+	"babelfish/internal/xlatpolicy"
 )
 
 // TestArchEnumResolvesRegistry: every enum value must map onto a
@@ -16,7 +17,7 @@ func TestArchEnumResolvesRegistry(t *testing.T) {
 		ArchCoalesced, ArchBabelFishVictima, ArchBabelFishCoalesced,
 	}
 	for _, a := range enums {
-		if !ValidArch(a.policyName()) {
+		if _, ok := xlatpolicy.Get(a.policyName()); !ok {
 			t.Errorf("%v: policy name %q not registered", a, a.policyName())
 		}
 	}
@@ -28,20 +29,21 @@ func TestArchEnumResolvesRegistry(t *testing.T) {
 	}
 }
 
-// TestArchUsageFromRegistry: CLI usage text is generated, never
-// hand-listed, so a newly registered policy shows up everywhere at once.
+// TestArchUsageFromRegistry: the -arch usage text every CLI prints is
+// generated from the registry, never hand-listed, so a newly registered
+// policy shows up everywhere at once; an unregistered name is rejected.
 func TestArchUsageFromRegistry(t *testing.T) {
-	u := ArchUsage("both")
+	u := xlatpolicy.UsageList("both")
 	for _, name := range ArchNames() {
 		if !strings.Contains(u, name) {
-			t.Errorf("ArchUsage missing registered %q: %s", name, u)
+			t.Errorf("usage missing registered %q: %s", name, u)
 		}
 	}
 	if !strings.HasSuffix(u, "|both") {
-		t.Errorf("ArchUsage(both) = %q, want trailing |both", u)
+		t.Errorf("UsageList(both) = %q, want trailing |both", u)
 	}
-	if ValidArch("nosuch") {
-		t.Error("ValidArch(nosuch) = true")
+	if _, err := NewMachineArch("nosuch", Options{Cores: 1, Mem: 256 << 20}); err == nil {
+		t.Error("NewMachineArch(nosuch) succeeded")
 	}
 }
 

@@ -102,16 +102,6 @@ func (a Arch) String() string {
 // order — the accepted NewMachineArch (and CLI -arch) values.
 func ArchNames() []string { return xlatpolicy.Names() }
 
-// ArchUsage renders the accepted -arch values for CLI usage strings,
-// with any extra conventions ("both") appended.
-func ArchUsage(extra ...string) string { return xlatpolicy.UsageList(extra...) }
-
-// ValidArch reports whether name is a registered architecture.
-func ValidArch(name string) bool {
-	_, ok := xlatpolicy.Get(name)
-	return ok
-}
-
 // Options configures a machine.
 type Options struct {
 	Arch  Arch
@@ -175,7 +165,8 @@ func NewMachineArch(name string, o Options) (*Machine, error) {
 	return &Machine{Machine: sim.New(p)}, nil
 }
 
-// App identifies one of the paper's workloads.
+// App identifies one of the paper's workloads, in the order of
+// workloads.AppNames.
 type App int
 
 const (
@@ -186,36 +177,12 @@ const (
 	FIO
 )
 
+// String returns the workload's name (its CLI -app value).
 func (a App) String() string {
-	switch a {
-	case MongoDB:
-		return "mongodb"
-	case ArangoDB:
-		return "arangodb"
-	case HTTPd:
-		return "httpd"
-	case GraphChi:
-		return "graphchi"
-	case FIO:
-		return "fio"
+	if names := workloads.AppNames(); a >= 0 && int(a) < len(names) {
+		return names[a]
 	}
 	return fmt.Sprintf("App(%d)", int(a))
-}
-
-func (a App) spec() *workloads.AppSpec {
-	switch a {
-	case MongoDB:
-		return workloads.MongoDB()
-	case ArangoDB:
-		return workloads.ArangoDB()
-	case HTTPd:
-		return workloads.HTTPd()
-	case GraphChi:
-		return workloads.GraphChi()
-	case FIO:
-		return workloads.FIO()
-	}
-	panic("babelfish: unknown app")
 }
 
 // Deployment re-exports the workload deployment handle.
@@ -235,7 +202,11 @@ type Container = container.Container
 // the paper's 500MB (1.0 ≈ 48MB in simulator units); seed fixes ASLR and
 // request randomness.
 func DeployApp(m *Machine, app App, scale float64, seed uint64) (*Deployment, error) {
-	return workloads.Deploy(m.Machine, app.spec(), scale, seed)
+	spec, ok := workloads.AppByName(app.String())
+	if !ok {
+		return nil, fmt.Errorf("babelfish: unknown app %v", app)
+	}
+	return workloads.Deploy(m.Machine, spec, scale, seed)
 }
 
 // DeployServerless deploys the FaaS group (Parse, Hash and Marshal on a

@@ -4,13 +4,14 @@
 // Usage:
 //
 //	bfbench [-exp all|tableI|fig9|fig10a|fig10b|fig11|tableII|tableIII|largertlb|bringup|resources|archcompare|loadramp]
-//	        [-arch NAME,NAME,...] [-cores N] [-scale F] [-warm N] [-measure N] [-seed N] [-quick]
+//	        [-arch NAME[,NAME...]|both] [-cores N] [-scale F] [-warm N] [-measure N] [-seed N]
+//	        [-quick] [-format text|json|markdown] [-jobs N] [-core-shards N]
 //	        [-trace-out FILE] [-flight-depth N]
 //
 // -exp archcompare runs the architecture head-to-head sweep: every
 // workload measured under each requested translation policy (-arch, a
-// comma-separated list of registered architecture names; empty sweeps
-// them all). -exp loadramp sweeps a small fleet across open-loop
+// comma-separated list of registered architecture names or both; empty
+// sweeps them all). -exp loadramp sweeps a small fleet across open-loop
 // offered-load levels per architecture (-arch again; empty means the
 // baseline/BabelFish pair). Both are opt-in only — never part of
 // -exp all or the json/markdown suite, whose output is pinned by the
@@ -18,6 +19,10 @@
 //
 // Each experiment prints rows shaped like the paper's; the headers quote
 // the paper's numbers for comparison.
+//
+// -jobs N runs experiment cells on N workers (0 = GOMAXPROCS), and
+// -core-shards N steps each machine's cores on up to N goroutines; the
+// output is identical at any -jobs width and any -core-shards width >= 1.
 //
 // -trace-out FILE exports one span per executed experiment cell
 // (architecture × app × config) after the run — Chrome trace-event JSON
@@ -30,17 +35,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
+	"babelfish/internal/cli"
 	"babelfish/internal/experiments"
 	"babelfish/internal/obs"
 	"babelfish/internal/xlatpolicy"
 )
 
+var cmd = cli.New("bfbench")
+
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment id (all, tableI, fig9, fig10a, fig10b, fig11, tableII, tableIII, largertlb, bringup, resources, sweeps, fig7, archcompare, loadramp)")
-		archs   = flag.String("arch", "", "architectures for -exp archcompare or loadramp, comma-separated from "+xlatpolicy.UsageList()+" (empty = all registered / the baseline-babelfish pair)")
+		archs   = flag.String("arch", "", "architectures for -exp archcompare or loadramp, comma-separated from "+xlatpolicy.UsageList("both")+" (empty = all registered / the baseline-babelfish pair)")
 		cores   = flag.Int("cores", 0, "number of cores (0 = default 8)")
 		scale   = flag.Float64("scale", 0, "dataset scale factor (0 = default 1.0)")
 		warm    = flag.Uint64("warm", 0, "warm-up instructions per core (0 = default)")
@@ -48,41 +57,27 @@ func main() {
 		seed    = flag.Uint64("seed", 0, "random seed (0 = default)")
 		quick   = flag.Bool("quick", false, "use the reduced smoke-test options")
 		format  = flag.String("format", "text", "output format: text, json or markdown (json/markdown run all experiments)")
-		jobs    = flag.Int("jobs", 0, "parallel experiment cells (default GOMAXPROCS, 1 = serial); output is identical at any width")
-
-		coreShards = flag.Int("core-shards", 0, "step each machine's cores on up to N goroutines with a deterministic quantum barrier (0 = classic serial); output is identical at any width >= 1")
-
-		traceOut    = flag.String("trace-out", "", "export one span per experiment cell after the run (Chrome trace JSON; .jsonl for compact JSONL)")
-		flightDepth = flag.Int("flight-depth", 0, "span-ring depth for -trace-out (0 = default)")
 	)
+	cmd.SimFlags("experiment cells")
 	flag.Parse()
-	if *flightDepth < 0 {
-		usageErr("-flight-depth must be non-negative")
+	cmd.CheckSimFlags(false)
+	e := strings.ToLower(*exp)
+	if !knownExp(e) {
+		cmd.Usage("unknown experiment %q", *exp)
 	}
-	if *coreShards < 0 {
-		usageErr("-core-shards must be non-negative (0 = classic serial stepping)")
+	if *format != "text" && *format != "json" && *format != "markdown" {
+		cmd.Usage("unknown format %q (want text, json or markdown)", *format)
 	}
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "jobs" && *jobs <= 0 {
-			usageErr("-jobs must be positive (omit the flag for GOMAXPROCS)")
-		}
-		if f.Name == "flight-depth" && *traceOut == "" {
-			usageErr("-flight-depth has no effect without -trace-out")
-		}
-		if f.Name == "arch" {
-			if e := strings.ToLower(*exp); e != "archcompare" && e != "loadramp" {
-				usageErr("-arch only applies to -exp archcompare or loadramp")
-			}
+		if f.Name == "arch" && e != "archcompare" && e != "loadramp" {
+			cmd.Usage("-arch only applies to -exp archcompare or loadramp")
 		}
 	})
 	var archList []string
 	if *archs != "" {
-		for _, name := range strings.Split(*archs, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := xlatpolicy.Get(name); !ok {
-				usageErr("unknown arch %q (want %s)", name, xlatpolicy.UsageList())
-			}
-			archList = append(archList, name)
+		var err error
+		if archList, err = xlatpolicy.ParseArchs(*archs); err != nil {
+			cmd.Usage("%v", err)
 		}
 	}
 
@@ -105,170 +100,113 @@ func main() {
 	if *seed > 0 {
 		o.Seed = *seed
 	}
-	o.Jobs = *jobs
-	o.CoreShards = *coreShards
+	o.Jobs = cmd.Jobs
+	o.CoreShards = cmd.CoreShards
 	var cellRec *obs.Recorder
-	if *traceOut != "" {
-		cellRec = obs.NewRecorder(o.Seed, obs.ControlScope, obs.Options{Depth: *flightDepth}.RingDepth())
+	if cmd.TraceOut != "" {
+		cellRec = obs.NewRecorder(o.Seed, obs.ControlScope, obs.Options{Depth: cmd.FlightDepth}.RingDepth())
 		experiments.SetObsRecorder(cellRec)
 	}
-	writeTrace := func() {
-		if cellRec == nil {
-			return
-		}
+	if err := runFormat(*format, e, o, archList); err != nil {
+		os.Exit(cmd.Fail(err))
+	}
+	if cellRec != nil {
 		streams := []obs.Stream{{Name: "cells", Spans: cellRec.Spans()}}
-		if err := obs.WriteTraceFile(*traceOut, "bfbench", streams); err != nil {
-			fmt.Fprintln(os.Stderr, "bfbench:", err)
-			os.Exit(1)
+		if err := obs.WriteTraceFile(cmd.TraceOut, "bfbench", streams); err != nil {
+			os.Exit(cmd.Fail(err))
 		}
 		fmt.Fprintf(os.Stderr, "bfbench: trace (schema v%d, %d cells) written to %s\n",
-			obs.TraceSchemaVersion, cellRec.Total(), *traceOut)
+			obs.TraceSchemaVersion, cellRec.Total(), cmd.TraceOut)
 	}
-
-	if *format == "json" || *format == "markdown" {
-		rep, err := experiments.RunAll(o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfbench:", err)
-			os.Exit(1)
-		}
-		if *format == "json" {
-			err = rep.WriteJSON(os.Stdout)
-		} else {
-			err = rep.WriteMarkdown(os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfbench:", err)
-			os.Exit(1)
-		}
-		writeTrace()
-		return
-	}
-	if err := run(strings.ToLower(*exp), o, archList); err != nil {
-		fmt.Fprintln(os.Stderr, "bfbench:", err)
-		os.Exit(1)
-	}
-	writeTrace()
 }
 
-// usageErr reports a flag mistake with the full usage text and exits
-// with status 2, mirroring the flag package's own error convention.
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bfbench: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
+// runFormat prints the json or markdown suite report, or else runs the
+// -exp experiments as text.
+func runFormat(format, exp string, o experiments.Options, archList []string) error {
+	if format == "text" {
+		return run(exp, o, archList)
+	}
+	rep, err := experiments.RunAll(o)
+	if err != nil {
+		return err
+	}
+	if format == "json" {
+		return rep.WriteJSON(os.Stdout)
+	}
+	return rep.WriteMarkdown(os.Stdout)
+}
+
+// textSuite lists the text-mode experiments in print order: ids holds
+// the lower-case -exp values that select each, and -exp all runs them
+// all. The opt-in archcompare and loadramp sweeps are not part of it,
+// nor of the json/markdown suite, whose output is pinned by the identity
+// CI job: both run many machines (loadramp whole clusters) per cell.
+var textSuite = []struct {
+	ids string
+	run func(o experiments.Options) (any, error)
+}{
+	{"tablei", func(o experiments.Options) (any, error) { return experiments.TableI(o), nil }},
+	{"fig7", func(o experiments.Options) (any, error) { return experiments.Fig7(o) }},
+	{"fig9", func(o experiments.Options) (any, error) { return experiments.Fig9(o) }},
+	{"fig10 fig10a fig10b", func(o experiments.Options) (any, error) { return experiments.Fig10(o) }},
+	{"fig11 tableii", func(o experiments.Options) (any, error) {
+		r, err := experiments.Fig11(o)
+		if err != nil {
+			return nil, err
+		}
+		return fmt.Sprintf("%v\n%v", r, experiments.TableII(r)), nil
+	}},
+	{"tableiii", func(experiments.Options) (any, error) { return experiments.TableIII(), nil }},
+	{"largertlb", func(o experiments.Options) (any, error) { return experiments.LargerTLB(o) }},
+	{"bringup", func(o experiments.Options) (any, error) { return experiments.Bringup(o) }},
+	{"resources", func(o experiments.Options) (any, error) { return experiments.Resources(o) }},
+	{"sweeps", func(o experiments.Options) (any, error) { return experiments.SweepColocation(o, nil) }},
+	{"sweeps", func(o experiments.Options) (any, error) { return experiments.SweepGroupSize(o, nil) }},
+	{"sweeps", func(o experiments.Options) (any, error) { return experiments.Variants(o) }},
+	{"sweeps", func(o experiments.Options) (any, error) { return experiments.SweepSMT(o) }},
+	{"sweeps", func(o experiments.Options) (any, error) { return experiments.Churn(o, 4) }},
+}
+
+// selects reports whether the -exp value exp runs experiment ids.
+func selects(exp, ids string) bool {
+	return exp == "all" || slices.Contains(strings.Fields(ids), exp)
+}
+
+// knownExp reports whether exp names an experiment.
+func knownExp(exp string) bool {
+	if exp == "archcompare" || exp == "loadramp" {
+		return true
+	}
+	for _, x := range textSuite {
+		if selects(exp, x.ids) {
+			return true
+		}
+	}
+	return false
 }
 
 func run(exp string, o experiments.Options, archList []string) error {
-	want := func(name string) bool { return exp == "all" || exp == name }
-
-	// The head-to-head sweep is opt-in only: it is not part of "all" (or
-	// the json/markdown suite), whose output is pinned by the identity CI
-	// job.
-	if exp == "archcompare" {
-		r, err := experiments.ArchCompare(o, archList)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-		return nil
+	switch exp {
+	case "archcompare":
+		return show(experiments.ArchCompare(o, archList))
+	case "loadramp":
+		return show(experiments.LoadRamp(o, archList))
 	}
-
-	// The open-loop fleet ramp is likewise opt-in only: it runs whole
-	// clusters per cell and would both slow "all" and perturb the pinned
-	// identity output.
-	if exp == "loadramp" {
-		r, err := experiments.LoadRamp(o, archList)
-		if err != nil {
+	for _, x := range textSuite {
+		if !selects(exp, x.ids) {
+			continue
+		}
+		if err := show(x.run(o)); err != nil {
 			return err
 		}
-		fmt.Println(r)
-		return nil
-	}
-
-	if want("tablei") || want("tableI") {
-		fmt.Println(experiments.TableI(o))
-	}
-	if want("fig7") {
-		r, err := experiments.Fig7(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if want("fig9") {
-		r, err := experiments.Fig9(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if want("fig10a") || want("fig10b") || (exp == "all") || exp == "fig10" {
-		if exp == "all" || strings.HasPrefix(exp, "fig10") {
-			r, err := experiments.Fig10(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-		}
-	}
-	if want("fig11") || want("tableii") {
-		r, err := experiments.Fig11(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-		fmt.Println(experiments.TableII(r))
-	}
-	if want("tableiii") {
-		fmt.Println(experiments.TableIII())
-	}
-	if want("largertlb") {
-		r, err := experiments.LargerTLB(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if want("bringup") {
-		r, err := experiments.Bringup(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if want("resources") {
-		r, err := experiments.Resources(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if want("sweeps") {
-		r1, err := experiments.SweepColocation(o, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r1)
-		r2, err := experiments.SweepGroupSize(o, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r2)
-		r3, err := experiments.Variants(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r3)
-		r4, err := experiments.SweepSMT(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r4)
-		r5, err := experiments.Churn(o, 4)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r5)
 	}
 	return nil
+}
+
+// show prints a finished experiment's result.
+func show(r any, err error) error {
+	if err == nil {
+		fmt.Println(r)
+	}
+	return err
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bfsim [-app mongodb|arangodb|httpd|graphchi|fio] [-arch NAME|both]
+//	bfsim [-app mongodb|arangodb|httpd|graphchi|fio] [-arch NAME[,NAME...]|both]
 //	      [-cores N] [-containers N] [-scale F] [-warm N] [-measure N] [-seed N]
 //	      [-audit] [-failnth N] [-failseed N] [-jobs N] [-cpuprofile FILE]
 //	      [-core-shards N] [-metrics-out FILE] [-sample-every N] [-trace N]
@@ -39,7 +39,10 @@
 // -trace, telemetry or span recording is active, so those flags compose
 // without surprises.)
 //
-// -jobs N simulates the architectures of -arch both on N workers (0 =
+// -arch takes one registered architecture, a comma-separated list of
+// them, or both (the baseline/babelfish pair).
+//
+// -jobs N simulates the architectures of -arch on N workers (0 =
 // GOMAXPROCS). Each run owns its machine, so the results and the printed
 // report are identical at any width: output is buffered per architecture
 // and replayed in order. -cpuprofile FILE writes a pprof CPU profile of
@@ -73,19 +76,23 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 
 	"babelfish"
+	"babelfish/internal/cli"
 	"babelfish/internal/faultinject"
 	"babelfish/internal/memsys"
 	"babelfish/internal/metrics"
 	"babelfish/internal/obs"
+	"babelfish/internal/par"
 	"babelfish/internal/physmem"
 	"babelfish/internal/telemetry"
+	"babelfish/internal/workloads"
+	"babelfish/internal/xlatpolicy"
 )
+
+var cmd = cli.New("bfsim")
 
 func main() { os.Exit(run()) }
 
@@ -93,19 +100,17 @@ func main() { os.Exit(run()) }
 // buffered prints (replayed in declaration order so -jobs never reorders
 // output), and its telemetry section.
 type archResult struct {
-	name        string
 	out         bytes.Buffer
 	row         []interface{}
 	tel         telemetry.ArchReport
 	stream      obs.Stream
 	auditFailed bool
-	err         error
 }
 
 func run() int {
 	var (
-		app         = flag.String("app", "mongodb", "workload: mongodb, arangodb, httpd, graphchi, fio")
-		arch        = flag.String("arch", "both", "architecture: "+babelfish.ArchUsage("both"))
+		app         = flag.String("app", "mongodb", "workload: "+strings.Join(workloads.AppNames(), ", "))
+		arch        = flag.String("arch", "both", "architectures, comma-separated: "+xlatpolicy.UsageList("both"))
 		cores       = flag.Int("cores", 2, "number of cores")
 		containers  = flag.Int("containers", 2, "containers per core")
 		scale       = flag.Float64("scale", 0.5, "dataset scale factor")
@@ -116,16 +121,11 @@ func run() int {
 		audit       = flag.Bool("audit", false, "run the kernel invariant auditor (page tables + TLBs) after each run; exit non-zero on violations")
 		failNth     = flag.Uint64("failnth", 0, "fail every Nth frame allocation during the measured run (0 = off)")
 		failSeed    = flag.Uint64("failseed", 1, "fault-injector seed")
-		jobs        = flag.Int("jobs", 0, "run architectures on N parallel workers (default GOMAXPROCS, 1 = serial); output is identical at any width")
-		coreShards  = flag.Int("core-shards", 0, "step each machine's cores on up to N goroutines with a deterministic quantum barrier (0 = classic serial); output is identical at any width >= 1")
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		metricsOut  = flag.String("metrics-out", "", "write a JSON telemetry report to this file")
 		sampleEvery = flag.Uint64("sample-every", 0, "sample the metric registry every N simulated cycles (requires -metrics-out or -series-out)")
-
-		traceOut    = flag.String("trace-out", "", "export causal spans (and -trace ring events) after the run (Chrome trace JSON; .jsonl for compact JSONL)")
 		seriesOut   = flag.String("series-out", "", "stream the registry time series (.prom for Prometheus text, JSONL otherwise; requires -sample-every, single -arch)")
 		flightDir   = flag.String("flight-recorder", "", "write a post-mortem bundle to this directory when a run OOM-kills a task or fails -audit")
-		flightDepth = flag.Int("flight-depth", 0, "span-ring depth per architecture (0 = default)")
 
 		injectMem      = flag.String("inject-mem", "", "inject memory-system faults at these seams (comma-separated: tlb, pwc, cache, dram, all)")
 		injectMemNth   = flag.Uint64("inject-mem-nth", 0, "inject on every Nth device event (0 = off)")
@@ -135,86 +135,61 @@ func run() int {
 		injectMemMax   = flag.Uint64("inject-mem-max", 0, "cap total injected faults per seam (0 = unlimited)")
 		injectMemMode  = flag.String("inject-mem-mode", "drop", "what an injected fault does: drop (absorbed) or poison (TLB only; caught by -audit)")
 	)
+	cmd.SimFlags("the architectures")
 	flag.Parse()
+	cmd.CheckSimFlags(*flightDir != "")
 
-	apps := map[string]babelfish.App{
-		"mongodb": babelfish.MongoDB, "arangodb": babelfish.ArangoDB,
-		"httpd": babelfish.HTTPd, "graphchi": babelfish.GraphChi, "fio": babelfish.FIO,
-	}
-	a, ok := apps[*app]
+	spec, ok := workloads.AppByName(*app)
 	if !ok {
-		usageErr("unknown app %q (want mongodb, arangodb, httpd, graphchi or fio)", *app)
+		cmd.Usage("unknown app %q (want %s)", *app, strings.Join(workloads.AppNames(), ", "))
 	}
-
-	// -arch values come from the xlatpolicy registry; "both" keeps its
-	// historical meaning of the paper's head-to-head pair.
-	var archs []string
-	switch {
-	case *arch == "both":
-		archs = []string{"baseline", "babelfish"}
-	case babelfish.ValidArch(*arch):
-		archs = []string{*arch}
-	default:
-		usageErr("unknown arch %q (want %s)", *arch, babelfish.ArchUsage("both"))
+	archs, err := xlatpolicy.ParseArchs(*arch)
+	if err != nil {
+		cmd.Usage("%v", err)
 	}
 
 	// Flag consistency: catch silently-ignored or nonsensical combinations
 	// before spending minutes simulating.
 	if *cores < 1 || *containers < 1 {
-		usageErr("-cores and -containers must be at least 1")
+		cmd.Usage("-cores and -containers must be at least 1")
 	}
-	if *scale <= 0 {
-		usageErr("-scale must be positive")
-	}
+	cmd.CheckScale(*scale)
 	if *measure == 0 {
-		usageErr("-measure must be non-zero (nothing would be simulated)")
+		cmd.Usage("-measure must be non-zero (nothing would be simulated)")
 	}
 	if *traceN < 0 {
-		usageErr("-trace must be non-negative")
-	}
-	if *coreShards < 0 {
-		usageErr("-core-shards must be non-negative (0 = classic serial stepping)")
+		cmd.Usage("-trace must be non-negative")
 	}
 	if *sampleEvery > 0 && *metricsOut == "" && *seriesOut == "" {
-		usageErr("-sample-every requires -metrics-out or -series-out (the time series needs somewhere to go)")
+		cmd.Usage("-sample-every requires -metrics-out or -series-out (the time series needs somewhere to go)")
 	}
 	if *seriesOut != "" {
 		if *sampleEvery == 0 {
-			usageErr("-series-out requires -sample-every (it streams the sampled series)")
+			cmd.Usage("-series-out requires -sample-every (it streams the sampled series)")
 		}
 		if len(archs) > 1 {
-			usageErr("-series-out needs a single architecture (pick one -arch value, not both)")
+			cmd.Usage("-series-out needs a single architecture (pick one -arch value, not both)")
 		}
-	}
-	if *flightDepth < 0 {
-		usageErr("-flight-depth must be non-negative")
 	}
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "jobs" && *jobs <= 0 {
-			usageErr("-jobs must be positive (omit the flag for GOMAXPROCS)")
-		}
 		if f.Name == "failseed" && *failNth == 0 {
-			usageErr("-failseed has no effect without -failnth")
-		}
-		if f.Name == "flight-depth" && *traceOut == "" && *flightDir == "" {
-			usageErr("-flight-depth has no effect without -trace-out or -flight-recorder")
+			cmd.Usage("-failseed has no effect without -failnth")
 		}
 		if strings.HasPrefix(f.Name, "inject-mem-") && *injectMem == "" {
-			usageErr("-%s has no effect without -inject-mem", f.Name)
+			cmd.Usage("-%s has no effect without -inject-mem", f.Name)
 		}
 	})
 	var memTargets memsys.Target
 	var memCfg memsys.InjectConfig
 	if *injectMem != "" {
-		var err error
 		if memTargets, err = memsys.ParseTargets(*injectMem); err != nil {
-			usageErr("%v", err)
+			cmd.Usage("%v", err)
 		}
 		if *injectMemNth == 0 && *injectMemProb == 0 {
-			usageErr("-inject-mem needs a policy: set -inject-mem-nth and/or -inject-mem-prob")
+			cmd.Usage("-inject-mem needs a policy: set -inject-mem-nth and/or -inject-mem-prob")
 		}
 		if *injectMemProb < 0 || *injectMemProb >= 1 || math.IsNaN(*injectMemProb) {
-			usageErr("-inject-mem-prob must be in [0, 1)")
+			cmd.Usage("-inject-mem-prob must be in [0, 1)")
 		}
 		mode := memsys.ModeDrop
 		switch *injectMemMode {
@@ -222,10 +197,10 @@ func run() int {
 		case "poison":
 			mode = memsys.ModePoison
 			if memTargets != memsys.TargetTLB {
-				usageErr("-inject-mem-mode poison only applies to the tlb target (got %q)", *injectMem)
+				cmd.Usage("-inject-mem-mode poison only applies to the tlb target (got %q)", *injectMem)
 			}
 		default:
-			usageErr("unknown -inject-mem-mode %q (want drop or poison)", *injectMemMode)
+			cmd.Usage("unknown -inject-mem-mode %q (want drop or poison)", *injectMemMode)
 		}
 		memCfg = memsys.InjectConfig{
 			Seed: *injectMemSeed, Nth: *injectMemNth, Prob: *injectMemProb,
@@ -236,11 +211,11 @@ func run() int {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			return fail(err)
+			return cmd.Fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			return fail(err)
+			return cmd.Fail(err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -265,16 +240,14 @@ func run() int {
 		})
 	}
 
-	obsOn := *traceOut != "" || *flightDir != ""
-	runArch := func(res *archResult, idx int, name string) {
-		res.name = name
+	obsOn := cmd.TraceOut != "" || *flightDir != ""
+	runArch := func(res *archResult, idx int, name string) (err error) {
 		m, err := babelfish.NewMachineArch(name, babelfish.Options{
 			Cores:      *cores,
-			CoreShards: *coreShards,
+			CoreShards: cmd.CoreShards,
 		})
 		if err != nil {
-			res.err = err
-			return
+			return err
 		}
 		if *traceN > 0 {
 			m.EnableTracing(*traceN)
@@ -285,42 +258,28 @@ func run() int {
 		if obsOn {
 			// Span IDs are pure in (seed, arch index, sequence), so the
 			// export is byte-identical at any -jobs width.
-			rec := obs.NewRecorder(*seed, uint64(idx), obs.Options{Depth: *flightDepth}.RingDepth())
+			rec := obs.NewRecorder(*seed, uint64(idx), obs.Options{Depth: cmd.FlightDepth}.RingDepth())
 			m.EnableObs(rec, idx)
 		}
-		var seriesFile *os.File
 		if *seriesOut != "" {
-			sink, f, err := telemetry.FileSink(*seriesOut, "bfsim")
-			if err != nil {
-				res.err = err
-				return
-			}
-			seriesFile = f
-			if err := m.Sampler().SetSink(sink); err != nil {
-				f.Close()
-				res.err = err
-				return
+			closeSeries, serr := telemetry.StreamFile(m.Sampler(), *seriesOut, "bfsim")
+			if serr != nil {
+				return serr
 			}
 			defer func() {
-				err := m.Sampler().FlushSink()
-				if cerr := seriesFile.Close(); err == nil {
+				if cerr := closeSeries(); err == nil {
 					err = cerr
-				}
-				if err != nil && res.err == nil {
-					res.err = err
 				}
 			}()
 		}
-		d, err := babelfish.DeployApp(m, a, *scale, *seed)
+		d, err := workloads.Deploy(m.Machine, spec, *scale, *seed)
 		if err != nil {
-			res.err = err
-			return
+			return err
 		}
 		for c := 0; c < *cores; c++ {
 			for j := 0; j < *containers; j++ {
 				if _, _, err := d.Spawn(c, *seed+uint64(c*131+j)); err != nil {
-					res.err = err
-					return
+					return err
 				}
 			}
 		}
@@ -331,21 +290,18 @@ func run() int {
 		}
 		if err := d.PrefaultAll(); err != nil {
 			if *failNth == 0 || !errors.Is(err, physmem.ErrOutOfMemory) {
-				res.err = err
-				return
+				return err
 			}
 		}
 		if memTargets != 0 {
 			m.SetMemInjector(memTargets, memCfg)
 		}
 		if err := m.Run(*warm); err != nil {
-			res.err = err
-			return
+			return err
 		}
 		m.ResetStats()
 		if err := m.Run(*measure); err != nil {
-			res.err = err
-			return
+			return err
 		}
 		m.Mem.SetInjector(nil)
 		ag := m.Aggregate()
@@ -354,8 +310,7 @@ func run() int {
 			ag.SharedHitFracD(), ag.SharedHitFracI(), ag.Faults, ks.MinorFaults, ks.CoWFaults}
 		c, err := m.Counters()
 		if err != nil {
-			res.err = err
-			return
+			return err
 		}
 		if c.Any() || *audit {
 			fmt.Fprintf(&res.out, "%s robustness: %s\n", name, c)
@@ -396,8 +351,7 @@ func run() int {
 			}
 			var prom bytes.Buffer
 			if err := telemetry.WriteProm(&prom, m.Registry); err != nil {
-				res.err = err
-				return
+				return err
 			}
 			path, err := obs.WriteBundle(*flightDir, obs.Bundle{
 				Label: name + "-" + trigger, Tool: "bfsim", Trigger: trigger,
@@ -407,42 +361,30 @@ func run() int {
 					m.OOMKills(), res.auditFailed, res.out.String()),
 			})
 			if err != nil {
-				res.err = err
-				return
+				return err
 			}
 			fmt.Fprintf(&res.out, "%s: flight-recorder bundle written to %s\n", name, path)
 		}
+		return nil
 	}
 
 	// Each architecture run owns its machine; runs only share the
 	// seed-keyed workload graph cache and atomic bug counters, so they can
 	// execute concurrently and still be deterministic.
-	width := *jobs
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
 	results := make([]archResult, len(archs))
-	sem := make(chan struct{}, width)
-	var wg sync.WaitGroup
-	for i := range archs {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			runArch(&results[i], i, archs[i])
-		}(i)
+	var plan par.Plan
+	for i, name := range archs {
+		plan.Add(name, func() error { return runArch(&results[i], i, name) })
 	}
-	wg.Wait()
+	if err := plan.Execute(cmd.Jobs); err != nil {
+		return cmd.Fail(err)
+	}
 
 	auditFailed := false
 	t := metrics.NewTable(fmt.Sprintf("%s: %d cores x %d containers, scale %.2f", *app, *cores, *containers, *scale),
 		"arch", "meanLat", "p95Lat", "mpkiD", "mpkiI", "sharedD", "sharedI", "faults", "minor", "cow")
 	for i := range results {
 		res := &results[i]
-		if res.err != nil {
-			return fail(res.err)
-		}
 		os.Stdout.Write(res.out.Bytes())
 		t.Row(res.row...)
 		if rep != nil {
@@ -453,39 +395,22 @@ func run() int {
 	fmt.Println(t)
 	if rep != nil {
 		if err := rep.WriteFile(*metricsOut); err != nil {
-			return fail(err)
+			return cmd.Fail(err)
 		}
 		fmt.Printf("telemetry report (schema v%d) written to %s\n", telemetry.SchemaVersion, *metricsOut)
 	}
-	if *traceOut != "" {
+	if cmd.TraceOut != "" {
 		streams := make([]obs.Stream, len(results))
 		for i := range results {
 			streams[i] = results[i].stream
 		}
-		if err := obs.WriteTraceFile(*traceOut, "bfsim", streams); err != nil {
-			return fail(err)
+		if err := obs.WriteTraceFile(cmd.TraceOut, "bfsim", streams); err != nil {
+			return cmd.Fail(err)
 		}
-		fmt.Printf("trace (schema v%d) written to %s\n", obs.TraceSchemaVersion, *traceOut)
+		fmt.Printf("trace (schema v%d) written to %s\n", obs.TraceSchemaVersion, cmd.TraceOut)
 	}
 	if auditFailed {
-		fmt.Fprintln(os.Stderr, "bfsim: audit found invariant violations")
-		return 1
+		return cmd.Fail(errors.New("audit found invariant violations"))
 	}
 	return 0
-}
-
-// fail reports a runtime error and selects the non-zero exit status; the
-// caller returns it from run so deferred cleanup (the CPU profile) still
-// flushes.
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "bfsim:", err)
-	return 1
-}
-
-// usageErr reports a flag mistake with the full usage text and exits
-// non-zero, mirroring the flag package's own error convention.
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bfsim: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
 }

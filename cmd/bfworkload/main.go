@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
+	"babelfish/internal/cli"
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
 	"babelfish/internal/metrics"
@@ -22,15 +24,23 @@ import (
 	"babelfish/internal/workloads"
 )
 
+var cmd = cli.New("bfworkload")
+
 func main() {
+	appNames := strings.Join(append(workloads.AppNames(), "faas"), ", ")
 	var (
-		app    = flag.String("app", "mongodb", "workload: mongodb, arangodb, httpd, graphchi, fio, faas")
+		app    = flag.String("app", "mongodb", "workload: "+appNames)
 		steps  = flag.Int("steps", 200_000, "steps to sample")
 		scale  = flag.Float64("scale", 0.5, "dataset scale")
 		seed   = flag.Uint64("seed", 42, "seed")
 		sparse = flag.Bool("sparse", false, "sparse FaaS input variant")
 	)
 	flag.Parse()
+	spec, ok := workloads.AppByName(*app)
+	if !ok && *app != "faas" {
+		cmd.Usage("unknown app %q (want %s)", *app, appNames)
+	}
+	cmd.CheckScale(*scale)
 
 	p := sim.DefaultParams(kernel.ModeBaseline)
 	p.Cores = 1
@@ -42,29 +52,21 @@ func main() {
 	if *app == "faas" {
 		fg, err := workloads.DeployFaaS(m, *sparse, *scale, *seed)
 		if err != nil {
-			fatal(err)
+			os.Exit(cmd.Fail(err))
 		}
 		task, _, err := fg.Spawn("parse", 0, *seed)
 		if err != nil {
-			fatal(err)
+			os.Exit(cmd.Fail(err))
 		}
 		gen, proc = task.Gen, task.Proc
 	} else {
-		specs := map[string]func() *workloads.AppSpec{
-			"mongodb": workloads.MongoDB, "arangodb": workloads.ArangoDB,
-			"httpd": workloads.HTTPd, "graphchi": workloads.GraphChi, "fio": workloads.FIO,
-		}
-		mk, ok := specs[*app]
-		if !ok {
-			fatal(fmt.Errorf("unknown app %q", *app))
-		}
-		d, err := workloads.Deploy(m, mk(), *scale, *seed)
+		d, err := workloads.Deploy(m, spec, *scale, *seed)
 		if err != nil {
-			fatal(err)
+			os.Exit(cmd.Fail(err))
 		}
 		task, _, err := d.Spawn(0, *seed)
 		if err != nil {
-			fatal(err)
+			os.Exit(cmd.Fail(err))
 		}
 		gen, proc = task.Gen, task.Proc
 	}
@@ -135,9 +137,4 @@ func main() {
 		fmt.Printf("requests sampled: %d, mean steps/request: %.1f, mean think/step: %.1f instr\n",
 			reqs, float64(reqSteps)/float64(reqs), float64(totalThink)/float64(*steps))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bfworkload:", err)
-	os.Exit(1)
 }

@@ -167,8 +167,8 @@ func (c Config) Validate() error {
 		return errors.New("fleet: Spec must be set")
 	case c.Params.Cores < 1:
 		return errors.New("fleet: Params.Cores must be at least 1")
-	case c.Scale <= 0:
-		return errors.New("fleet: Scale must be positive")
+	case c.Scale <= 0 || math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0):
+		return errors.New("fleet: Scale must be positive and finite")
 	case c.Containers < 0:
 		return errors.New("fleet: Containers must be non-negative")
 	case c.Epochs < 1:

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -76,6 +77,8 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.Nodes = 0 },
 		func(c *Config) { c.Spec = nil },
 		func(c *Config) { c.Scale = 0 },
+		func(c *Config) { c.Scale = math.NaN() },
+		func(c *Config) { c.Scale = math.Inf(1) },
 		func(c *Config) { c.Epochs = 0 },
 		func(c *Config) { c.SuspicionEpochs = 0 },
 		func(c *Config) { c.BackoffCap = c.BackoffBase - 1 },

@@ -104,19 +104,35 @@ func (j *JSONLSink) Emit(s Sample) error {
 // Flush drains the buffer.
 func (j *JSONLSink) Flush() error { return j.bw.Flush() }
 
-// FileSink creates path and returns a streaming sink writing to it,
-// picked by extension: .prom gets the Prometheus text exposition
-// format, anything else JSON lines. The caller installs the sink with
-// SetSink and closes the file after the final FlushSink.
-func FileSink(path, tool string) (Sink, *os.File, error) {
+// StreamFile creates path and streams s's samples into it as they are
+// taken: Prometheus text when path ends in .prom, JSON lines otherwise.
+// The returned close flushes the sink and closes the file; it reports
+// the first error of any emit, the flush or the close.
+func StreamFile(s *Sampler, path, tool string) (close func() error, err error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if strings.HasSuffix(path, ".prom") {
-		return NewPromSink(f), f, nil
+	return streamTo(s, f, strings.HasSuffix(path, ".prom"), tool)
+}
+
+// streamTo is StreamFile over an open writer.
+func streamTo(s *Sampler, w io.WriteCloser, prom bool, tool string) (func() error, error) {
+	var sink Sink = NewJSONLSink(w, tool)
+	if prom {
+		sink = NewPromSink(w)
 	}
-	return NewJSONLSink(f, tool), f, nil
+	if err := s.SetSink(sink); err != nil {
+		w.Close()
+		return nil, err
+	}
+	return func() error {
+		err := s.FlushSink()
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
 }
 
 // promName sanitizes a metric name for the Prometheus exposition format

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -234,5 +236,88 @@ func TestDiffDisjoint(t *testing.T) {
 	}
 	if !strings.Contains(d2.String(), "a vs b") {
 		t.Fatal("empty diff table missing labels")
+	}
+}
+
+// failWriter fails its writes and/or its close on demand.
+type failWriter struct {
+	bytes.Buffer
+	writeErr, closeErr error
+	closed             bool
+}
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if w.writeErr != nil {
+		return 0, w.writeErr
+	}
+	return w.Buffer.Write(p)
+}
+
+func (w *failWriter) Close() error { w.closed = true; return w.closeErr }
+
+// TestStreamCloseMergesErrors: the close func always closes the writer
+// and reports the first failure — a write (surfacing at the flush)
+// before the close's own error.
+func TestStreamCloseMergesErrors(t *testing.T) {
+	errWrite, errClose := errors.New("write failed"), errors.New("close failed")
+	for _, tc := range []struct {
+		writeErr, closeErr, want error
+	}{
+		{nil, nil, nil},
+		{errWrite, nil, errWrite},
+		{nil, errClose, errClose},
+		{errWrite, errClose, errWrite},
+	} {
+		reg, hits := sinkRegistry()
+		sp := NewSampler(reg, 10)
+		w := &failWriter{writeErr: tc.writeErr, closeErr: tc.closeErr}
+		closeSeries, err := streamTo(sp, w, false, "bfsim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		*hits = 3
+		sp.Tick(10)
+		if err := closeSeries(); !errors.Is(err, tc.want) || (err == nil) != (tc.want == nil) {
+			t.Errorf("write=%v close=%v: close func returned %v, want %v", tc.writeErr, tc.closeErr, err, tc.want)
+		}
+		if !w.closed {
+			t.Errorf("write=%v close=%v: writer left open", tc.writeErr, tc.closeErr)
+		}
+		if tc.writeErr == nil && !strings.Contains(w.String(), `"type":"sample"`) {
+			t.Errorf("no sample streamed: %q", w.String())
+		}
+	}
+}
+
+// TestStreamFileFormats: the file's extension picks the format, and a
+// path that cannot be created is reported up front.
+func TestStreamFileFormats(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ file, want string }{
+		{"s.jsonl", `"type":"series-header"`},
+		{"s.prom", "# TYPE tlb_l1_hits counter"},
+	} {
+		reg, _ := sinkRegistry()
+		sp := NewSampler(reg, 10)
+		path := filepath.Join(dir, tc.file)
+		closeSeries, err := StreamFile(sp, path, "bffleet")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.Tick(10)
+		if err := closeSeries(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(b), tc.want) {
+			t.Errorf("%s: missing %q:\n%s", tc.file, tc.want, b)
+		}
+	}
+	reg, _ := sinkRegistry()
+	if _, err := StreamFile(NewSampler(reg, 10), filepath.Join(dir, "nosuch", "s.jsonl"), "bfsim"); err == nil {
+		t.Error("StreamFile into a missing directory succeeded")
 	}
 }

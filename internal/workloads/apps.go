@@ -68,6 +68,30 @@ func (f Footprint) scaled(scale float64) Footprint {
 	return f
 }
 
+// apps lists the paper's application constructors in canonical order:
+// the data-serving trio, then the compute pair.
+var apps = []func() *AppSpec{MongoDB, ArangoDB, HTTPd, GraphChi, FIO}
+
+// AppByName builds a fresh spec of the application whose Name is name.
+func AppByName(name string) (*AppSpec, bool) {
+	for _, mk := range apps {
+		if s := mk(); s.Name == name {
+			return s, true
+		}
+	}
+	return nil, false
+}
+
+// AppNames returns every application's Name in canonical order — the
+// accepted CLI -app values.
+func AppNames() []string {
+	out := make([]string, len(apps))
+	for i, mk := range apps {
+		out[i] = mk().Name
+	}
+	return out
+}
+
 // AppSpec describes one application: footprint, dataset mapping flavour,
 // and the per-container generator constructor.
 type AppSpec struct {

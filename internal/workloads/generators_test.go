@@ -283,3 +283,30 @@ func TestStandaloneFunctionSpecs(t *testing.T) {
 		}
 	}
 }
+
+// TestAppByName: the name table is the specs' own Name fields, in the
+// canonical order, and every lookup builds a fresh spec.
+func TestAppByName(t *testing.T) {
+	want := []string{"mongodb", "arangodb", "httpd", "graphchi", "fio"}
+	names := AppNames()
+	if len(names) != len(want) {
+		t.Fatalf("AppNames() = %v, want %v", names, want)
+	}
+	for i, name := range want {
+		if names[i] != name {
+			t.Fatalf("AppNames() = %v, want %v", names, want)
+		}
+		a, ok := AppByName(name)
+		if !ok || a.Name != name {
+			t.Fatalf("AppByName(%q) = %v, %v", name, a, ok)
+		}
+		if b, _ := AppByName(name); a == b {
+			t.Errorf("AppByName(%q) returned a shared spec", name)
+		}
+	}
+	for _, bad := range []string{"", "faas", "MongoDB", "nosuch"} {
+		if _, ok := AppByName(bad); ok {
+			t.Errorf("AppByName(%q) succeeded", bad)
+		}
+	}
+}

@@ -25,6 +25,7 @@ package xlatpolicy
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"babelfish/internal/memdefs"
 	"babelfish/internal/memsys"
@@ -216,20 +217,25 @@ func All() []Arch {
 // e.g. "baseline|babelfish|victima|coalesced". extra values (like "both")
 // are appended by the caller's convention.
 func UsageList(extra ...string) string {
-	s := ""
-	for i, a := range registry {
-		if i > 0 {
-			s += "|"
-		}
-		s += a.Name
+	return strings.Join(append(Names(), extra...), "|")
+}
+
+// ParseArchs resolves a CLI -arch value: "both" is the paper's
+// head-to-head pair (baseline, babelfish); anything else is a
+// comma-separated list of registered names, run in the order given.
+func ParseArchs(value string) ([]string, error) {
+	if value == "both" {
+		return []string{"baseline", "babelfish"}, nil
 	}
-	for _, e := range extra {
-		if s != "" {
-			s += "|"
+	var names []string
+	for _, name := range strings.Split(value, ",") {
+		name = strings.TrimSpace(name)
+		if _, ok := Get(name); !ok {
+			return nil, fmt.Errorf("unknown arch %q (want %s, or a comma-separated list)", name, UsageList("both"))
 		}
-		s += e
+		names = append(names, name)
 	}
-	return s
+	return names, nil
 }
 
 // SortedNames returns the registered names sorted alphabetically (for

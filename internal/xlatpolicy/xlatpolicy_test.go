@@ -45,8 +45,15 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 }
 
+// TestRegistryUsageList: CLI usage text is generated, never hand-listed,
+// so a newly registered policy shows up in every tool at once.
 func TestRegistryUsageList(t *testing.T) {
 	u := UsageList("both")
+	for _, name := range Names() {
+		if !strings.Contains(u, name) {
+			t.Errorf("UsageList missing registered %q: %s", name, u)
+		}
+	}
 	if !strings.HasSuffix(u, "|both") {
 		t.Errorf("UsageList(both) = %q, want trailing |both", u)
 	}
@@ -56,6 +63,35 @@ func TestRegistryUsageList(t *testing.T) {
 	n := SortedNames()
 	if !sort.StringsAreSorted(n) {
 		t.Errorf("SortedNames() = %v not sorted", n)
+	}
+}
+
+// TestParseArchs pins the -arch grammar every CLI shares: "both" is the
+// paper's pair, otherwise a comma list of registered names in the order
+// given, with any unknown name rejected.
+func TestParseArchs(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{"both", []string{"baseline", "babelfish"}},
+		{"victima", []string{"victima"}},
+		{"coalesced, baseline", []string{"coalesced", "baseline"}},
+		{"babelfish+victima,babelfish", []string{"babelfish+victima", "babelfish"}},
+	} {
+		got, err := ParseArchs(tc.in)
+		if err != nil {
+			t.Errorf("ParseArchs(%q): %v", tc.in, err)
+			continue
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("ParseArchs(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "nosuch", "baseline,nosuch", "baseline,", "both,victima"} {
+		if got, err := ParseArchs(bad); err == nil {
+			t.Errorf("ParseArchs(%q) = %v, want an error", bad, got)
+		}
 	}
 }
 
