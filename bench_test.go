@@ -18,6 +18,7 @@ import (
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
 	"babelfish/internal/physmem"
+	"babelfish/internal/rng"
 	"babelfish/internal/sim"
 	"babelfish/internal/tlb"
 	"babelfish/internal/workloads"
@@ -520,8 +521,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 
 // BenchmarkZipf measures the YCSB zipfian draw.
 func BenchmarkZipf(b *testing.B) {
-	rng := workloads.NewRNG(1)
-	z := workloads.NewZipf(rng, 100_000, 0.99)
+	z := rng.NewZipf(rng.New(1), 100_000, 0.99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Next()

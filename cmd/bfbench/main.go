@@ -65,6 +65,12 @@ func main() {
 	if !knownExp(e) {
 		cmd.Usage("unknown experiment %q", *exp)
 	}
+	if *cores < 0 {
+		cmd.Usage("-cores must not be negative (0 = default)")
+	}
+	if *scale != 0 {
+		cmd.CheckScale(*scale)
+	}
 	if *format != "text" && *format != "json" && *format != "markdown" {
 		cmd.Usage("unknown format %q (want text, json or markdown)", *format)
 	}

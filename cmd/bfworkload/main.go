@@ -41,6 +41,9 @@ func main() {
 		cmd.Usage("unknown app %q (want %s)", *app, appNames)
 	}
 	cmd.CheckScale(*scale)
+	if *steps <= 0 {
+		cmd.Usage("-steps must be positive")
+	}
 
 	p := sim.DefaultParams(kernel.ModeBaseline)
 	p.Cores = 1

@@ -9,14 +9,16 @@ import (
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
 
-// TestUsageErrors: an unknown app or an unusable scale is a flag
-// mistake — usage text and exit status 2.
+// TestUsageErrors: an unknown app, an unusable scale or a step count
+// that is not positive is a flag mistake — usage text and exit status 2.
 func TestUsageErrors(t *testing.T) {
 	clitest.ExpectUsage(t, "bfworkload",
 		[]string{"-app", "nosuch"},
 		[]string{"-scale", "NaN"},
 		[]string{"-scale", "Inf"},
 		[]string{"-scale", "-1"},
+		[]string{"-steps", "0"},
+		[]string{"-steps", "-5"},
 	)
 }
 

@@ -9,14 +9,17 @@
 // filter AND lies inside the [After, ∞) window AND (it is the Nth-multiple
 // allocation OR the seeded coin flip at probability Prob comes up heads),
 // until MaxFaults failures have been injected. With the zero Config no
-// allocation ever fails. Decisions are pure functions of (Config, seq), so
-// identical runs inject identical faults regardless of goroutine timing.
+// allocation ever fails. Past the kind filter the decision is
+// rng.FaultRule's, the rule memsys also applies to device events: a pure
+// function of (Config, seq), so identical runs inject identical faults
+// regardless of goroutine timing.
 package faultinject
 
 import (
 	"sync/atomic"
 
 	"babelfish/internal/physmem"
+	"babelfish/internal/rng"
 )
 
 // Config selects what to fail.
@@ -42,62 +45,30 @@ type Config struct {
 
 // Injector is a deterministic physmem.Injector.
 type Injector struct {
-	cfg      Config
+	kind     physmem.FrameKind
+	rule     rng.FaultRule
 	injected atomic.Uint64
 }
 
 // New builds an injector from cfg.
-func New(cfg Config) *Injector { return &Injector{cfg: cfg} }
-
-// EveryNth returns an injector failing every nth allocation.
-func EveryNth(n uint64) *Injector { return New(Config{Nth: n}) }
-
-// WithProb returns an injector failing each allocation with probability p,
-// deterministically derived from seed.
-func WithProb(p float64, seed uint64) *Injector { return New(Config{Prob: p, Seed: seed}) }
-
-// KindOnly returns a copy of the injector restricted to one frame kind.
-func (i *Injector) KindOnly(kind physmem.FrameKind) *Injector {
-	cfg := i.cfg
-	cfg.Kind = kind
-	return New(cfg)
+func New(cfg Config) *Injector {
+	return &Injector{
+		kind: cfg.Kind,
+		rule: rng.FaultRule{Seed: cfg.Seed, Nth: cfg.Nth, Prob: cfg.Prob, After: cfg.After, MaxFaults: cfg.MaxFaults},
+	}
 }
 
 // Injected reports how many allocations this injector has failed.
 func (i *Injector) Injected() uint64 { return i.injected.Load() }
 
-// splitmix64 is the same deterministic hash the kernel's ASLR uses.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // FailAlloc implements physmem.Injector. It is called with the Memory's
 // lock held, so it must stay allocation-free and must not call back into
 // the Memory.
 func (i *Injector) FailAlloc(seq uint64, kind physmem.FrameKind) bool {
-	c := &i.cfg
-	if c.Kind != physmem.FrameFree && kind != c.Kind {
+	if i.kind != physmem.FrameFree && kind != i.kind {
 		return false
 	}
-	if seq <= c.After {
-		return false
-	}
-	if c.MaxFaults > 0 && i.injected.Load() >= c.MaxFaults {
-		return false
-	}
-	fail := false
-	if c.Nth > 0 && seq%c.Nth == 0 {
-		fail = true
-	}
-	if !fail && c.Prob > 0 {
-		// 53-bit uniform in [0,1) from the seeded hash of the sequence
-		// number: independent of call interleaving.
-		u := float64(splitmix64(c.Seed^seq)>>11) / (1 << 53)
-		fail = u < c.Prob
-	}
+	fail := i.rule.Fires(seq, i.injected.Load())
 	if fail {
 		i.injected.Add(1)
 	}

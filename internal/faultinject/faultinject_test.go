@@ -8,7 +8,7 @@ import (
 )
 
 func TestEveryNth(t *testing.T) {
-	inj := EveryNth(5)
+	inj := New(Config{Nth: 5})
 	var fails []uint64
 	for seq := uint64(1); seq <= 20; seq++ {
 		if inj.FailAlloc(seq, physmem.FrameData) {
@@ -30,8 +30,8 @@ func TestEveryNth(t *testing.T) {
 }
 
 func TestProbDeterministic(t *testing.T) {
-	a := WithProb(0.25, 99)
-	b := WithProb(0.25, 99)
+	a := New(Config{Prob: 0.25, Seed: 99})
+	b := New(Config{Prob: 0.25, Seed: 99})
 	hits := 0
 	for seq := uint64(1); seq <= 4000; seq++ {
 		fa := a.FailAlloc(seq, physmem.FrameData)
@@ -48,7 +48,7 @@ func TestProbDeterministic(t *testing.T) {
 		t.Fatalf("p=0.25 over 4000 trials hit %d times", hits)
 	}
 	// A different seed must give a different fault pattern.
-	c := WithProb(0.25, 100)
+	c := New(Config{Prob: 0.25, Seed: 100})
 	same := true
 	for seq := uint64(1); seq <= 200; seq++ {
 		if c.FailAlloc(seq, physmem.FrameData) != a.FailAlloc(seq, physmem.FrameData) {
@@ -90,7 +90,7 @@ func TestAfterAndMax(t *testing.T) {
 
 func TestWiredIntoMemory(t *testing.T) {
 	m := physmem.New(1 << 20)
-	m.SetInjector(EveryNth(2))
+	m.SetInjector(New(Config{Nth: 2}))
 	var errs int
 	for i := 0; i < 10; i++ {
 		if _, err := m.Alloc(physmem.FrameData); err != nil {

@@ -36,6 +36,7 @@ import (
 	"babelfish/internal/obs"
 	"babelfish/internal/par"
 	"babelfish/internal/physmem"
+	"babelfish/internal/rng"
 	"babelfish/internal/sim"
 	"babelfish/internal/telemetry"
 	"babelfish/internal/workloads"
@@ -271,15 +272,6 @@ type Cluster struct {
 	flightBundles int
 }
 
-// splitmix64 mixes per-node injector seeds (same avalanche mix as the
-// injector's own coin flips).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // New builds a cluster: Nodes fresh machines, Containers pending
 // containers (the first epoch's scheduler pass places them), and armed
 // per-node fault injectors.
@@ -291,8 +283,8 @@ func New(cfg Config) (*Cluster, error) {
 	c.initObs()
 	for i := 0; i < cfg.Nodes; i++ {
 		crashCfg, partCfg := cfg.Crash, cfg.Partition
-		crashCfg.Seed ^= splitmix64(uint64(i) + 0xF1EE7)
-		partCfg.Seed ^= splitmix64(uint64(i) + 0x9A127171)
+		crashCfg.Seed ^= rng.Mix(uint64(i) + 0xF1EE7)
+		partCfg.Seed ^= rng.Mix(uint64(i) + 0x9A127171)
 		n := &node{
 			id:    i,
 			crash: memsys.NewInjector(crashCfg),

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"babelfish/internal/rng"
 )
 
 // CSR is a graph in compressed sparse row form: RowPtr[v]..RowPtr[v+1]
@@ -35,19 +37,6 @@ func (g *CSR) Neighbors(v int) []int32 {
 	return g.Dst[g.RowPtr[v]:g.RowPtr[v+1]]
 }
 
-// rng is a local splitmix64.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
-
 // RMAT generates a power-law directed graph with 2^scale vertices and
 // edgeFactor×2^scale edges using the R-MAT (a,b,c,d) = (0.57, 0.19,
 // 0.19, 0.05) parameters of the Graph500 reference.
@@ -61,14 +50,14 @@ func RMAT(scale, edgeFactor int, seed uint64) (*CSR, error) {
 	n := 1 << scale
 	m := n * edgeFactor
 	const a, b, c = 0.57, 0.19, 0.19
-	r := rng{s: seed}
+	r := rng.New(seed)
 
 	type edge struct{ src, dst int32 }
 	edges := make([]edge, 0, m)
 	for i := 0; i < m; i++ {
 		var src, dst int
 		for bit := scale - 1; bit >= 0; bit-- {
-			u := r.float()
+			u := r.Float64()
 			switch {
 			case u < a: // top-left
 			case u < a+b: // top-right

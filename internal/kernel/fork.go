@@ -6,6 +6,7 @@ import (
 	"babelfish/internal/memdefs"
 	"babelfish/internal/pgtable"
 	"babelfish/internal/physmem"
+	"babelfish/internal/rng"
 )
 
 // CreateProcess creates the first process of a group (the container
@@ -43,7 +44,7 @@ func (k *Kernel) CreateProcess(g *Group, name string) (*Process, error) {
 // one layout per group.
 func (k *Kernel) procOffsets(g *Group, pid memdefs.PID) [NumSegs]memdefs.VAddr {
 	if k.Cfg.Mode == ModeBabelFish && k.Cfg.ASLR == ASLRHW {
-		return aslrOffsets(g.seed ^ splitmix64(uint64(pid)))
+		return aslrOffsets(g.seed ^ rng.Mix(uint64(pid)))
 	}
 	return g.groupOff
 }

@@ -6,6 +6,7 @@ import (
 
 	"babelfish/internal/memdefs"
 	"babelfish/internal/pgtable"
+	"babelfish/internal/rng"
 )
 
 // Seg identifies one of the address-space segments whose positions ASLR
@@ -73,18 +74,10 @@ func SegOf(va memdefs.VAddr) (Seg, bool) {
 	return 0, false
 }
 
-// splitmix64 is the deterministic hash used for ASLR offsets.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 func aslrOffsets(seed uint64) [NumSegs]memdefs.VAddr {
 	var out [NumSegs]memdefs.VAddr
 	for s := SegText; s < NumSegs; s++ {
-		h := splitmix64(seed ^ uint64(s)*0x9e37)
+		h := rng.Mix(seed ^ uint64(s)*0x9e37)
 		out[s] = memdefs.VAddr(h%aslrOffWindow) * aslrOffUnit
 	}
 	return out

@@ -13,7 +13,11 @@
 // fleet stay byte-identical at any worker-pool width.
 package loadgen
 
-import "math"
+import (
+	"math"
+
+	"babelfish/internal/rng"
+)
 
 // Shape is an offered-load curve: Total returns the fleet-wide number
 // of requests offered during 0-based epoch e. Totals are real-valued
@@ -146,16 +150,8 @@ func (s *splitSource) Arrivals(epoch int, out []int) {
 	for i := range out {
 		out[i] = base
 	}
-	start := int(mix64(s.seed^(uint64(epoch)+1)*0x9e3779b97f4a7c15) % uint64(len(out)))
+	start := int(rng.Finalize(s.seed^(uint64(epoch)+1)*rng.Gamma) % uint64(len(out)))
 	for k := 0; k < rem; k++ {
 		out[(start+k)%len(out)]++
 	}
-}
-
-// mix64 is the splitmix64 finalizer, the same mixing primitive the rest
-// of the simulator uses for seed derivation.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

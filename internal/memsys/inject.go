@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"babelfish/internal/rng"
 )
 
 // Mode selects what an injected fault does to the device's result.
@@ -83,7 +85,8 @@ func (t Target) String() string {
 	return strings.Join(names, ",")
 }
 
-// InjectConfig mirrors faultinject.Config: the decision for event seq is
+// InjectConfig selects which device events take a fault. The decision
+// is rng.FaultRule's, the same rule faultinject applies to allocations:
 // a pure function of (InjectConfig, seq), so a run with the same seed and
 // workload injects the same faults — chaos runs are repeatable.
 type InjectConfig struct {
@@ -108,17 +111,22 @@ func (c InjectConfig) Enabled() bool { return c.Nth > 0 || c.Prob > 0 }
 // Injector decides, per device event, whether to inject a fault. Each
 // device instance owns its injector: the machine is single-goroutine per
 // run, so the event sequence — and therefore the fault pattern — is
-// deterministic. Decisions follow faultinject: Nth and Prob compose (either
-// may fire), gated by After and capped by MaxFaults.
+// deterministic.
 type Injector struct {
-	cfg      InjectConfig
+	rule     rng.FaultRule
+	mode     Mode
 	seq      uint64
 	injected uint64
 }
 
 // NewInjector returns an injector with the given policy. A nil *Injector
 // is valid and never fires.
-func NewInjector(cfg InjectConfig) *Injector { return &Injector{cfg: cfg} }
+func NewInjector(cfg InjectConfig) *Injector {
+	return &Injector{
+		rule: rng.FaultRule{Seed: cfg.Seed, Nth: cfg.Nth, Prob: cfg.Prob, After: cfg.After, MaxFaults: cfg.MaxFaults},
+		mode: cfg.Mode,
+	}
+}
 
 // Fire advances the event sequence and reports whether this event takes a
 // fault. Nil-safe: a nil injector never fires.
@@ -127,21 +135,7 @@ func (in *Injector) Fire() bool {
 		return false
 	}
 	in.seq++
-	c := &in.cfg
-	if in.seq <= c.After {
-		return false
-	}
-	if c.MaxFaults > 0 && in.injected >= c.MaxFaults {
-		return false
-	}
-	hit := false
-	if c.Nth > 0 && in.seq%c.Nth == 0 {
-		hit = true
-	}
-	if !hit && c.Prob > 0 {
-		u := float64(splitmix64(c.Seed^in.seq)>>11) / (1 << 53)
-		hit = u < c.Prob
-	}
+	hit := in.rule.Fires(in.seq, in.injected)
 	if hit {
 		in.injected++
 	}
@@ -164,7 +158,7 @@ func (in *Injector) Mode() Mode {
 	if in == nil {
 		return ModeDrop
 	}
-	return in.cfg.Mode
+	return in.mode
 }
 
 // Injected returns how many faults this injector has taken. Unlike device
@@ -182,14 +176,4 @@ func (in *Injector) Seq() uint64 {
 		return 0
 	}
 	return in.seq
-}
-
-// splitmix64 is the same avalanche mix used by faultinject: every input
-// bit affects every output bit, so consecutive sequence numbers give
-// independent coin flips.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

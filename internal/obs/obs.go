@@ -7,7 +7,7 @@
 // bundles.
 //
 // Determinism is the design constraint everything else bends around:
-// span IDs derive from (seed, scope, sequence) with a splitmix64 mix —
+// span IDs derive from (seed, scope, sequence) with the rng.Mix hash —
 // never from wall clocks or addresses — and every recorder is owned by
 // exactly one sequential actor (one node's machine, or the fleet control
 // plane), so a traced run exports byte-identical artifacts at any
@@ -18,7 +18,11 @@
 // nil pointer, and every instrumentation seam is a single nil check.
 package obs
 
-import "fmt"
+import (
+	"fmt"
+
+	"babelfish/internal/rng"
+)
 
 // SpanID identifies a span. Zero means "no span" (an absent parent).
 type SpanID uint64
@@ -102,15 +106,6 @@ func (o Options) RingDepth() int {
 	return DefaultDepth
 }
 
-// splitmix64 is the avalanche mix behind span IDs (same constants as the
-// memsys injector's coin flips).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Recorder is a bounded ring of spans owned by one sequential actor.
 // IDs are a pure function of (seed, scope, per-recorder sequence), so a
 // run's span IDs are identical no matter how node stepping is scheduled
@@ -142,7 +137,7 @@ const ControlScope = ^uint64(0)
 // NewID mints the next deterministic span ID. Never zero.
 func (r *Recorder) NewID() SpanID {
 	r.seq++
-	return SpanID(splitmix64(r.seed^splitmix64(r.scope)^r.seq) | 1)
+	return SpanID(rng.Mix(r.seed^rng.Mix(r.scope)^r.seq) | 1)
 }
 
 // Record stores a span, minting its ID if unset, and returns the ID.

@@ -1,3 +1,19 @@
+// Package workloads implements the paper's evaluation workloads as paged
+// memory-reference generators with the same sharing structure the real
+// applications exhibit:
+//
+//   - Data serving (Section VI): MongoDB (mmap storage engine), ArangoDB
+//     (RocksDB-style private block cache over read-only SSTs), and HTTPd
+//     (static files), each driven by a YCSB-style zipfian client;
+//   - Compute: GraphChi PageRank over a shared mmapped graph, and FIO
+//     doing random I/O over a shared dataset;
+//   - Functions (FaaS): Parse, Hash and Marshal on an OpenFaaS-style
+//     runtime, with dense and sparse input access variants;
+//   - container bring-up (docker start) touching the runtime/infra pages.
+//
+// Each container is one process (Docker best practice, Section II-A);
+// replicated containers of one application form one CCID group and run
+// the same program against different request streams.
 package workloads
 
 import (

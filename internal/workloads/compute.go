@@ -6,6 +6,7 @@ import (
 
 	"babelfish/internal/graph"
 	"babelfish/internal/kernel"
+	"babelfish/internal/rng"
 	"babelfish/internal/sim"
 )
 
@@ -78,7 +79,7 @@ func graphScaleFor(datasetPages int) int {
 
 type graphGen struct {
 	env Env
-	rng *RNG
+	rng *rng.RNG
 
 	g      *graph.CSR
 	layout graph.Layout
@@ -98,16 +99,16 @@ type graphGen struct {
 }
 
 func newGraphGen(env Env, seed uint64) *graphGen {
-	rng := NewRNG(seed)
+	r := rng.New(seed)
 	scale := graphScaleFor(env.RDataset.Pages)
 	// All containers of the deployment share the same graph: derive the
 	// graph seed from the group, not the container.
 	csr := sharedGraph(scale, graphEdgeFactor, uint64(env.P.CCID)*0x9E37+1)
 	return &graphGen{
-		env: env, rng: rng,
+		env: env, rng: r,
 		g:           csr,
 		layout:      graph.NewLayout(csr),
-		code:        newCodeWalker(env.P, rng, 0.08, 0.08, env.RBin, env.RLibs, env.RInfra),
+		code:        newCodeWalker(env.P, r, 0.08, 0.08, env.RBin, env.RLibs, env.RInfra),
 		rotateEvery: 40,
 		lastChunk:   -1,
 	}
@@ -290,21 +291,21 @@ func FIO() *AppSpec {
 
 type fioGen struct {
 	env  Env
-	rng  *RNG
+	rng  *rng.RNG
 	code *codeWalker
-	zipf *Zipf
+	zipf *rng.Zipf
 	q    stepQueue
 	salt uint64
 }
 
 func newFioGen(env Env, seed uint64) *fioGen {
-	rng := NewRNG(seed)
+	r := rng.New(seed)
 	return &fioGen{
-		env: env, rng: rng,
-		code: newCodeWalker(env.P, rng, 0.08, 0.10, env.RBin, env.RLibs, env.RInfra),
+		env: env, rng: r,
+		code: newCodeWalker(env.P, r, 0.08, 0.10, env.RBin, env.RLibs, env.RInfra),
 		// Mild skew: FIO touches most of the dataset but I/O benchmarks
 		// re-touch hot blocks.
-		zipf: NewZipf(rng, env.RDataset.Pages, 0.97),
+		zipf: rng.NewZipf(r, env.RDataset.Pages, 0.97),
 	}
 }
 

@@ -3,6 +3,7 @@ package workloads
 import (
 	"babelfish/internal/kernel"
 	"babelfish/internal/kvstore"
+	"babelfish/internal/rng"
 	"babelfish/internal/sim"
 	"babelfish/internal/ycsb"
 )
@@ -35,7 +36,7 @@ func MongoDB() *AppSpec {
 	spec.NewGen = func(d *Deployment, p *kernel.Process, idx int, seed uint64) sim.Generator {
 		g := &dataServingGen{
 			env:         d.Env(p),
-			rng:         NewRNG(seed ^ 0xA0A0),
+			rng:         rng.New(seed ^ 0xA0A0),
 			workload:    ycsb.WorkloadB,
 			engine:      engineBTree,
 			hotFrac:     0.08,
@@ -76,7 +77,7 @@ func ArangoDB() *AppSpec {
 	spec.NewGen = func(d *Deployment, p *kernel.Process, idx int, seed uint64) sim.Generator {
 		g := &dataServingGen{
 			env:         d.Env(p),
-			rng:         NewRNG(seed ^ 0xB1B1),
+			rng:         rng.New(seed ^ 0xB1B1),
 			workload:    ycsb.WorkloadC,
 			engine:      engineLSM,
 			hotFrac:     0.08,
@@ -115,7 +116,7 @@ func HTTPd() *AppSpec {
 	spec.NewGen = func(d *Deployment, p *kernel.Process, idx int, seed uint64) sim.Generator {
 		g := &dataServingGen{
 			env:         d.Env(p),
-			rng:         NewRNG(seed ^ 0xC2C2),
+			rng:         rng.New(seed ^ 0xC2C2),
 			workload:    ycsb.WorkloadC,
 			engine:      engineBTree, // the docroot's directory metadata tree
 			hotFrac:     0.10,
@@ -151,7 +152,7 @@ const (
 
 type dataServingGen struct {
 	env Env
-	rng *RNG
+	rng *rng.RNG
 
 	workload    ycsb.Workload
 	engine      engineKind
@@ -168,7 +169,7 @@ type dataServingGen struct {
 
 	code     *codeWalker
 	reqs     *ycsb.Generator
-	zipfPriv *Zipf
+	zipfPriv *rng.Zipf
 	btree    *kvstore.BTree
 	lsm      *kvstore.LSM
 
@@ -220,7 +221,7 @@ func (g *dataServingGen) init() {
 		panic(err) // workload mixes are fixed at compile time
 	}
 	if e.RPrivate.Pages > 0 {
-		g.zipfPriv = NewZipf(g.rng, e.RPrivate.Pages, g.privTheta)
+		g.zipfPriv = rng.NewZipf(g.rng, e.RPrivate.Pages, g.privTheta)
 	}
 	if vma, ok := e.P.FindVMA(e.RDataset.PageVA(0)); ok {
 		g.dsWritable = vma.Perm.CanWrite()

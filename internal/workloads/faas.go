@@ -3,6 +3,7 @@ package workloads
 import (
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
+	"babelfish/internal/rng"
 	"babelfish/internal/sim"
 )
 
@@ -107,7 +108,7 @@ func Marshal(sparse bool) *AppSpec {
 
 type funcGen struct {
 	env   Env
-	rng   *RNG
+	rng   *rng.RNG
 	b     FuncBehavior
 	lines int
 	code  *codeWalker
@@ -123,10 +124,10 @@ type funcGen struct {
 func newFuncGen(env Env, b FuncBehavior, lines int, seed uint64) *funcGen {
 	return &funcGen{
 		env:   env,
-		rng:   NewRNG(seed ^ uint64(lines)*0x9176),
+		rng:   rng.New(seed ^ uint64(lines)*0x9176),
 		b:     b,
 		lines: lines,
-		code:  newCodeWalker(env.P, NewRNG(seed^0xF5F5), 0.15, 0.12, env.RBin, env.RLibs, env.RInfra),
+		code:  newCodeWalker(env.P, rng.New(seed^0xF5F5), 0.15, 0.12, env.RBin, env.RLibs, env.RInfra),
 	}
 }
 
@@ -204,7 +205,7 @@ func (g *funcGen) NextBatch(buf []sim.Step) int {
 // fork-time table linking removes most of them.
 type BringUp struct {
 	env     Env
-	rng     *RNG
+	rng     *rng.RNG
 	noMarks bool // suppress ReqStart/ReqEnd (when embedded in a function)
 
 	seqInfra, seqLibs, seqBin, seqData, seqHeap int
@@ -220,7 +221,7 @@ func NewBringUp(d *Deployment, p *kernel.Process, seed uint64) *BringUp {
 
 // NewBringUpEnv builds the bring-up generator from an environment.
 func NewBringUpEnv(env Env, seed uint64) *BringUp {
-	return &BringUp{env: env, rng: NewRNG(seed ^ 0xBEEF)}
+	return &BringUp{env: env, rng: rng.New(seed ^ 0xBEEF)}
 }
 
 func (b *BringUp) Next(out *sim.Step) bool {

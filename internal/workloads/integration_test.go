@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"babelfish/internal/kernel"
+	"babelfish/internal/rng"
 	"babelfish/internal/sim"
 )
 
@@ -118,8 +119,7 @@ func TestEndToEndFunctionsRunToCompletion(t *testing.T) {
 }
 
 func TestZipfDistribution(t *testing.T) {
-	rng := NewRNG(7)
-	z := NewZipf(rng, 1000, 0.99)
+	z := rng.NewZipf(rng.New(7), 1000, 0.99)
 	counts := make([]int, 1000)
 	for i := 0; i < 100_000; i++ {
 		counts[z.Next()]++
@@ -151,7 +151,7 @@ func TestCodeWalkerStaysInBounds(t *testing.T) {
 	}
 	_ = task
 	proc := d.Containers[0]
-	w := newCodeWalker(proc, NewRNG(1), 0.2, 0.1, d.RBin, d.RLibs)
+	w := newCodeWalker(proc, rng.New(1), 0.2, 0.1, d.RBin, d.RLibs)
 	var s sim.Step
 	for i := 0; i < 10_000; i++ {
 		w.next(&s)

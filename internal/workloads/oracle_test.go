@@ -6,6 +6,7 @@ import (
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
 	"babelfish/internal/mmu"
+	"babelfish/internal/rng"
 	"babelfish/internal/sim"
 )
 
@@ -68,7 +69,7 @@ func TestTranslationOracle(t *testing.T) {
 				addProc(c)
 			}
 
-			rng := NewRNG(777)
+			rnd := rng.New(777)
 			regions := []kernel.Region{rFile, rData, rHeap}
 			for step := 0; step < 8000; step++ {
 				// Occasionally fork another container mid-stream.
@@ -83,7 +84,7 @@ func TestTranslationOracle(t *testing.T) {
 				// never leak into other processes' translations) and
 				// replace it.
 				if step%2100 == 2099 && len(procs) > 2 {
-					victim := procs[rng.Intn(len(procs))]
+					victim := procs[rnd.Intn(len(procs))]
 					victim.Exit()
 					for _, c := range m.Cores {
 						c.MMU.FlushPCID(victim.PCID)
@@ -104,7 +105,7 @@ func TestTranslationOracle(t *testing.T) {
 				}
 				// Occasionally munmap + remap one container's heap.
 				if step%1700 == 1699 {
-					pr := procs[rng.Intn(len(procs))]
+					pr := procs[rnd.Intn(len(procs))]
 					if v, ok := pr.FindVMA(rHeap.Start); ok {
 						if _, err := pr.Unmap(v); err != nil {
 							t.Fatal(err)
@@ -115,7 +116,7 @@ func TestTranslationOracle(t *testing.T) {
 				// Occasionally mprotect a container's data segment down
 				// and back up (forces divergence + entry rewrites).
 				if step%1900 == 1899 {
-					pr := procs[rng.Intn(len(procs))]
+					pr := procs[rnd.Intn(len(procs))]
 					if v, ok := pr.FindVMA(rData.Start); ok {
 						if _, err := pr.Protect(v, memdefs.PermRead|memdefs.PermUser); err != nil {
 							t.Fatal(err)
@@ -126,16 +127,16 @@ func TestTranslationOracle(t *testing.T) {
 						}
 					}
 				}
-				pr := procs[rng.Intn(len(procs))]
+				pr := procs[rnd.Intn(len(procs))]
 				ctx := ctxs[pr.PID]
-				r := regions[rng.Intn(len(regions))]
-				gva := r.PageVA(rng.Intn(r.Pages)) + memdefs.VAddr(rng.Intn(64)*64)
-				write := rng.Bool(0.25)
+				r := regions[rnd.Intn(len(regions))]
+				gva := r.PageVA(rnd.Intn(r.Pages)) + memdefs.VAddr(rnd.Intn(64)*64)
+				write := rnd.Bool(0.25)
 				if r.Name == "file" {
 					write = false
 				}
 				va := pr.ProcVA(gva)
-				core := m.Cores[rng.Intn(len(m.Cores))]
+				core := m.Cores[rnd.Intn(len(m.Cores))]
 
 				ppn, _, _, err := core.MMU.Translate(ctx, va, write, memdefs.AccessData)
 				if err != nil {

@@ -3,6 +3,7 @@ package workloads
 import (
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
+	"babelfish/internal/rng"
 	"babelfish/internal/sim"
 )
 
@@ -13,7 +14,7 @@ import (
 // line, i.e. ~16 instructions of think time on the 2-issue core.
 type codeWalker struct {
 	proc     *kernel.Process
-	rng      *RNG
+	rng      *rng.RNG
 	regions  []kernel.Region // code regions (group VA)
 	hotPages []memdefs.VAddr // hot page base addresses (group VA)
 	page     int             // current hot page index
@@ -28,8 +29,8 @@ const (
 )
 
 // newCodeWalker picks hotFrac of the pages of each region as the hot set.
-func newCodeWalker(proc *kernel.Process, rng *RNG, hotFrac float64, jumpProb float64, regions ...kernel.Region) *codeWalker {
-	w := &codeWalker{proc: proc, rng: rng, regions: regions, jumpProb: jumpProb}
+func newCodeWalker(proc *kernel.Process, src *rng.RNG, hotFrac float64, jumpProb float64, regions ...kernel.Region) *codeWalker {
+	w := &codeWalker{proc: proc, rng: src, regions: regions, jumpProb: jumpProb}
 	for _, r := range regions {
 		hot := int(float64(r.Pages) * hotFrac)
 		if hot < 1 {

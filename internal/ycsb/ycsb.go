@@ -13,7 +13,8 @@ package ycsb
 
 import (
 	"fmt"
-	"math"
+
+	"babelfish/internal/rng"
 )
 
 // Op is one database operation kind.
@@ -96,76 +97,6 @@ const (
 	DistUniform
 )
 
-// rng is a splitmix64 generator (self-contained to keep the package
-// dependency-free).
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
-
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
-
-// zipf is the Gray et al. zipfian generator YCSB uses.
-type zipf struct {
-	n     int
-	theta float64
-	alpha float64
-	zetan float64
-	eta   float64
-	zeta2 float64
-}
-
-func newZipf(n int, theta float64) *zipf {
-	if n < 1 {
-		n = 1
-	}
-	z := &zipf{n: n, theta: theta}
-	z.zetan = zeta(n, theta)
-	z.zeta2 = zeta(2, theta)
-	z.alpha = 1 / (1 - theta)
-	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
-	return z
-}
-
-func zeta(n int, theta float64) float64 {
-	s := 0.0
-	for i := 1; i <= n; i++ {
-		s += 1 / math.Pow(float64(i), theta)
-	}
-	return s
-}
-
-func (z *zipf) draw(r *rng) int {
-	u := r.float()
-	uz := u * z.zetan
-	if uz < 1 {
-		return 0
-	}
-	if uz < 1+math.Pow(0.5, z.theta) {
-		return 1
-	}
-	idx := int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-	if idx >= z.n {
-		idx = z.n - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return idx
-}
-
 // fnvHash64 scrambles ranks for the scrambled-zipfian distribution.
 func fnvHash64(v uint64) uint64 {
 	const (
@@ -203,8 +134,8 @@ type Config struct {
 type Generator struct {
 	cfg     Config
 	mix     Mix
-	rng     rng
-	zipf    *zipf
+	rng     *rng.RNG
+	zipf    *rng.Zipf
 	records int // grows with inserts
 }
 
@@ -236,11 +167,12 @@ func New(cfg Config) (*Generator, error) {
 			cfg.Dist = DistScrambledZipfian
 		}
 	}
+	r := rng.New(cfg.Seed)
 	g := &Generator{
 		cfg:     cfg,
 		mix:     mix,
-		rng:     rng{s: cfg.Seed},
-		zipf:    newZipf(cfg.Records, cfg.Theta),
+		rng:     r,
+		zipf:    rng.NewZipf(r, cfg.Records, cfg.Theta),
 		records: cfg.Records,
 	}
 	return g, nil
@@ -253,26 +185,26 @@ func (g *Generator) Records() int { return g.records }
 func (g *Generator) key() int {
 	switch g.cfg.Dist {
 	case DistUniform:
-		return g.rng.intn(g.records)
+		return g.rng.Intn(g.records)
 	case DistLatest:
 		// Hot keys are the most recent: rank 0 = newest record.
-		rank := g.zipf.draw(&g.rng)
+		rank := g.zipf.Next()
 		k := g.records - 1 - rank
 		if k < 0 {
 			k = 0
 		}
 		return k
 	case DistScrambledZipfian:
-		rank := g.zipf.draw(&g.rng)
+		rank := g.zipf.Next()
 		return int(fnvHash64(uint64(rank)) % uint64(g.records))
 	default: // plain zipfian
-		return g.zipf.draw(&g.rng)
+		return g.zipf.Next()
 	}
 }
 
 // Next generates one request.
 func (g *Generator) Next() Request {
-	u := g.rng.float()
+	u := g.rng.Float64()
 	m := g.mix
 	switch {
 	case u < m.Read:
@@ -284,11 +216,11 @@ func (g *Generator) Next() Request {
 		g.records++ // inserts extend the keyspace (bounded growth)
 		if g.records > g.cfg.Records*2 {
 			g.records = g.cfg.Records * 2
-			k = g.rng.intn(g.records)
+			k = g.rng.Intn(g.records)
 		}
 		return Request{Op: OpInsert, Key: k}
 	case u < m.Read+m.Update+m.Insert+m.Scan:
-		l := 1 + g.rng.intn(g.cfg.MaxScan)
+		l := 1 + g.rng.Intn(g.cfg.MaxScan)
 		return Request{Op: OpScan, Key: g.key(), ScanLen: l}
 	default:
 		return Request{Op: OpReadModifyWrite, Key: g.key()}
